@@ -14,10 +14,13 @@
 //!             macro kernel — also ref_row/ref_col            [fused]
 //!         verify {enc,ref} x {row,col}; locate & correct     ("p-loop: verify")
 //! ```
+//!
+//! [`Recovery::RetryPanel`] rolls a column block whose pattern cannot be
+//! corrected back to its entry state and recomputes it from `pc = 0`.
 
 use crate::checksum;
 use crate::corrector::{self, CorrectionOutcome};
-use crate::{FtConfig, FtError, FtReport, FtResult};
+use crate::{FtConfig, FtError, FtReport, FtResult, Recovery};
 use ftgemm_core::gemm::validate_shapes;
 use ftgemm_core::pack;
 use ftgemm_core::{macro_kernel::macro_kernel, GemmContext, MatMut, MatRef, Scalar};
@@ -35,15 +38,11 @@ pub struct FtGemmContext<T: Scalar> {
     enc_col: Vec<T>,
     ref_row: Vec<T>,
     ref_col: Vec<T>,
-    /// Checkpoint storage for [`Recovery::RetryPanel`]: the column block of
-    /// `C` plus the encoded checksums at the start of the current panel.
+    /// Rollback snapshot for [`Recovery::RetryPanel`] with `beta != 0`: the
+    /// current column block of `C` as it was on entry.
     snap_c: Vec<T>,
-    snap_enc_row: Vec<T>,
-    snap_enc_col: Vec<T>,
     call_counter: u64,
 }
-
-use crate::Recovery;
 
 impl<T: Scalar> FtGemmContext<T> {
     /// Context with auto-detected kernel and blocking parameters.
@@ -62,21 +61,26 @@ impl<T: Scalar> FtGemmContext<T> {
             ref_row: Vec::new(),
             ref_col: Vec::new(),
             snap_c: Vec::new(),
-            snap_enc_row: Vec::new(),
-            snap_enc_col: Vec::new(),
             call_counter: 0,
         }
     }
 }
 
 impl<T: Scalar> FtGemmContext<T> {
-    /// Pre-sizes every checksum work vector, checkpoint buffer, and packing
-    /// scratch for an `m x n x k` problem under `cfg`, so a subsequent
-    /// [`ft_gemm_with_ctx`] call of that shape performs **no heap
-    /// allocation**. The facade's `GemmPlan` calls this at plan time; the
-    /// sizes mirror the driver exactly, and re-reserving the same shape is
-    /// free.
-    pub fn reserve(&mut self, cfg: &FtConfig, m: usize, n: usize, k: usize) -> FtResult<()> {
+    /// Pre-sizes every checksum work vector, rollback snapshot, and packing
+    /// scratch for an `m x n x k` problem scaling `C` by `beta` under `cfg`,
+    /// so a subsequent [`ft_gemm_with_ctx`] call of that shape performs **no
+    /// heap allocation**. The facade's `GemmPlan` calls this at plan time;
+    /// the sizes mirror the driver exactly, and re-reserving the same shape
+    /// is free.
+    pub fn reserve(
+        &mut self,
+        cfg: &FtConfig,
+        beta: T,
+        m: usize,
+        n: usize,
+        k: usize,
+    ) -> FtResult<()> {
         let p = self.core.params;
         p.validate().map_err(FtError::Core)?;
         let nc_max = p.nc.min(n);
@@ -86,10 +90,8 @@ impl<T: Scalar> FtGemmContext<T> {
         resize(&mut self.enc_col, nc_max);
         resize(&mut self.ref_row, m);
         resize(&mut self.ref_col, nc_max);
-        if matches!(cfg.recovery, Recovery::RetryPanel { .. }) {
-            resize(&mut self.snap_c, m * nc_max);
-            resize(&mut self.snap_enc_row, m);
-            resize(&mut self.snap_enc_col, nc_max);
+        if needs_snapshot(cfg, beta) && self.snap_c.len() < m * nc_max {
+            self.snap_c.resize(m * nc_max, T::ZERO); // grow-only: no per-call fill
         }
         self.core
             .pack_buffers(p.packed_a_len(), p.packed_b_len())
@@ -144,11 +146,12 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
     // Work vectors: sized and zeroed by `reserve`, the single authoritative
     // size list (shared with plan-time preallocation, so a planned call of
     // this shape re-resizes in place without touching the heap).
-    ctx.reserve(cfg, m, n, k)?;
-    let retry_panels = match cfg.recovery {
+    ctx.reserve(cfg, beta, m, n, k)?;
+    let max_rollbacks = match cfg.recovery {
         Recovery::ReportOnly => 0u32,
         Recovery::RetryPanel { max_retries } => max_retries,
     };
+    let snapshot = needs_snapshot(cfg, beta);
 
     // A_r = alpha * e^T A — the one O(mk) encode pass (paper §2.3 encodes it
     // before the main loops).
@@ -177,13 +180,11 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
         let enc_row = &mut ctx.enc_row[..m];
         let ref_row = &mut ctx.ref_row[..m];
 
-        // beta-scale + initial checksum encode over this column block.
-        {
-            let mut c_block = c.submatrix_mut(0, jc, m, nc_eff);
-            if fusion.fuse_c_scale {
-                checksum::scale_encode_c(&mut c_block, beta, enc_row, enc_col);
-            } else {
-                checksum::scale_then_encode_c(&mut c_block, beta, enc_row, enc_col);
+        // Rollback snapshot: the block of C as it was on entry.
+        if snapshot {
+            let cb = c.as_ref().submatrix(0, jc, m, nc_eff);
+            for (j, dst) in ctx.snap_c.chunks_exact_mut(m).take(nc_eff).enumerate() {
+                dst.copy_from_slice(cb.col(j));
             }
         }
 
@@ -192,172 +193,159 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
         // column block must treat that residual as noise, so the threshold
         // scale grows with the largest correction applied so far.
         let mut correction_scale = T::ZERO;
+        let mut rollbacks = 0u32;
+        // Panels before `redo_end` are being recomputed after a rollback.
+        let mut redo_end = 0;
 
         let mut pc = 0;
         while pc < k {
             let kc_eff = p.kc.min(k - pc);
-
-            // Checkpoint for panel-level rollback (Recovery::RetryPanel):
-            // the block of C and the encoded checksums as of this panel's
-            // start. O(m * nc) copies — strictly opt-in paranoia.
-            if retry_panels > 0 {
-                let c_block = c.submatrix_mut(0, jc, m, nc_eff);
-                let cb = c_block.as_ref();
-                for j in 0..nc_eff {
-                    ctx.snap_c[j * m..(j + 1) * m].copy_from_slice(cb.col(j));
+            if pc < redo_end {
+                report.retried_panels += 1;
+            }
+            if pc == 0 {
+                // beta-scale + initial checksum encode over this column
+                // block; after a rollback, from the restored snapshot.
+                let mut c_block = c.submatrix_mut(0, jc, m, nc_eff);
+                if snapshot && rollbacks > 0 {
+                    for (j, src) in ctx.snap_c.chunks_exact(m).take(nc_eff).enumerate() {
+                        c_block.col_mut(j).copy_from_slice(src);
+                    }
                 }
-                ctx.snap_enc_row[..m].copy_from_slice(enc_row);
-                ctx.snap_enc_col[..nc_eff].copy_from_slice(&enc_col[..nc_eff]);
+                if fusion.fuse_c_scale {
+                    checksum::scale_encode_c(&mut c_block, beta, enc_row, enc_col);
+                } else {
+                    checksum::scale_then_encode_c(&mut c_block, beta, enc_row, enc_col);
+                }
+                correction_scale = T::ZERO;
             }
 
-            let mut attempt = 0u32;
-            'attempts: loop {
-                if attempt > 0 {
-                    // Roll back C and the encoded checksums, then recompute
-                    // the panel from scratch (the inputs A and B are
-                    // untouched by construction).
-                    report.retried_panels += 1;
-                    let mut c_block = c.submatrix_mut(0, jc, m, nc_eff);
-                    for j in 0..nc_eff {
-                        c_block
-                            .col_mut(j)
-                            .copy_from_slice(&ctx.snap_c[j * m..(j + 1) * m]);
-                    }
-                    enc_row.copy_from_slice(&ctx.snap_enc_row[..m]);
-                    enc_col[..nc_eff].copy_from_slice(&ctx.snap_enc_col[..nc_eff]);
-                }
+            let bc = &mut ctx.bc[..kc_eff];
+            bc.fill(T::ZERO);
 
-                let bc = &mut ctx.bc[..kc_eff];
-                bc.fill(T::ZERO);
+            let b_block = b.submatrix(pc, jc, kc_eff, nc_eff);
+            if fusion.fuse_b_pack {
+                pack::pack_b_fused(&b_block, p.nr, b_buf, &ctx.ar[pc..pc + kc_eff], bc, enc_col);
+            } else {
+                pack::pack_b(&b_block, p.nr, b_buf);
+                checksum::encode_bc(&b_block, bc);
+                checksum::accumulate_enc_col(&b_block, &ctx.ar[pc..pc + kc_eff], enc_col);
+            }
 
-                let b_block = b.submatrix(pc, jc, kc_eff, nc_eff);
-                if fusion.fuse_b_pack {
-                    pack::pack_b_fused(
-                        &b_block,
-                        p.nr,
-                        b_buf,
-                        &ctx.ar[pc..pc + kc_eff],
+            // Reference checksums cover the whole column block per panel.
+            if fusion.fuse_kernel_refs {
+                ref_col.fill(T::ZERO);
+                ref_row.fill(T::ZERO);
+            }
+
+            let mut ic = 0;
+            while ic < m {
+                let mc_eff = p.mc.min(m - ic);
+                let a_block = a.submatrix(ic, pc, mc_eff, kc_eff);
+                if fusion.fuse_a_pack {
+                    pack::pack_a_fused(
+                        &a_block,
+                        alpha,
+                        p.mr,
+                        a_buf,
                         bc,
-                        enc_col,
+                        &mut enc_row[ic..ic + mc_eff],
                     );
                 } else {
-                    pack::pack_b(&b_block, p.nr, b_buf);
-                    checksum::encode_bc(&b_block, bc);
-                    checksum::accumulate_enc_col(&b_block, &ctx.ar[pc..pc + kc_eff], enc_col);
+                    pack::pack_a(&a_block, alpha, p.mr, a_buf);
+                    checksum::accumulate_enc_row(
+                        &a_block,
+                        alpha,
+                        bc,
+                        &mut enc_row[ic..ic + mc_eff],
+                    );
                 }
 
-                // Reference checksums cover the whole column block per panel.
-                if fusion.fuse_kernel_refs {
-                    ref_col.fill(T::ZERO);
-                    ref_row.fill(T::ZERO);
-                }
+                let mut c_block = c.submatrix_mut(ic, jc, mc_eff, nc_eff);
+                let sums = if fusion.fuse_kernel_refs {
+                    Some((&mut ref_col[..], &mut ref_row[ic..ic + mc_eff]))
+                } else {
+                    None
+                };
+                macro_kernel(&kernel, kc_eff, a_buf, b_buf, &mut c_block, sums);
 
-                let mut ic = 0;
-                while ic < m {
-                    let mc_eff = p.mc.min(m - ic);
-                    let a_block = a.submatrix(ic, pc, mc_eff, kc_eff);
-                    if fusion.fuse_a_pack {
-                        pack::pack_a_fused(
-                            &a_block,
-                            alpha,
-                            p.mr,
-                            a_buf,
-                            bc,
-                            &mut enc_row[ic..ic + mc_eff],
-                        );
-                    } else {
-                        pack::pack_a(&a_block, alpha, p.mr, a_buf);
-                        checksum::accumulate_enc_row(
-                            &a_block,
-                            alpha,
-                            bc,
-                            &mut enc_row[ic..ic + mc_eff],
-                        );
+                // Source-level fault injection (paper §3.2): corrupt one
+                // freshly computed element, exactly as a faulty FMA would —
+                // the in-register reference checksums see the corrupted
+                // value, the encoded checksums do not.
+                if let Some(stream) = stream.as_mut() {
+                    if let Some(event) = stream.poll() {
+                        report.injected += 1;
+                        let lane = event.lane;
+                        let i_loc = (lane % mc_eff as u64) as usize;
+                        let j_loc = ((lane / mc_eff as u64) % nc_eff as u64) as usize;
+                        let old = c_block.get(i_loc, j_loc);
+                        let new = T::from_f64(event.apply_f64(old.to_f64()));
+                        c_block.set(i_loc, j_loc, new);
+                        if fusion.fuse_kernel_refs {
+                            let delta = new - old;
+                            ref_col[j_loc] += delta;
+                            ref_row[ic + i_loc] += delta;
+                        }
+                        // (unfused refs re-read C below and see it anyway)
                     }
+                }
+                ic += p.mc;
+            }
 
-                    let mut c_block = c.submatrix_mut(ic, jc, mc_eff, nc_eff);
-                    let sums = if fusion.fuse_kernel_refs {
-                        Some((&mut ref_col[..], &mut ref_row[ic..ic + mc_eff]))
-                    } else {
-                        None
-                    };
-                    macro_kernel(&kernel, kc_eff, a_buf, b_buf, &mut c_block, sums);
+            if !fusion.fuse_kernel_refs {
+                // Traditional ABFT: a separate O(m*nc) read-back pass.
+                let c_block = c.submatrix_mut(0, jc, m, nc_eff);
+                checksum::encode_c(&c_block.as_ref(), ref_row, ref_col);
+            }
 
-                    // Source-level fault injection (paper §3.2): corrupt one
-                    // freshly computed element, exactly as a faulty FMA would —
-                    // the in-register reference checksums see the corrupted
-                    // value, the encoded checksums do not.
-                    if let Some(stream) = stream.as_mut() {
-                        if let Some(event) = stream.poll() {
-                            report.injected += 1;
-                            let lane = event.lane;
-                            let i_loc = (lane % mc_eff as u64) as usize;
-                            let j_loc = ((lane / mc_eff as u64) % nc_eff as u64) as usize;
-                            let old = c_block.get(i_loc, j_loc);
-                            let new = T::from_f64(event.apply_f64(old.to_f64()));
-                            c_block.set(i_loc, j_loc, new);
-                            if fusion.fuse_kernel_refs {
-                                let delta = new - old;
-                                ref_col[j_loc] += delta;
-                                ref_row[ic + i_loc] += delta;
+            // "p-loop: verify" — compare encoded vs reference checksums and
+            // repair (paper Fig. 1, red operations).
+            report.verifications += 1;
+            let k_done = pc + kc_eff;
+            // Scale from the *encoded* checksums only: they are computed
+            // from clean inputs, so a huge corrupted reference value cannot
+            // inflate the threshold and mask smaller concurrent errors.
+            let scale = max_abs2(enc_row, enc_col).max(correction_scale);
+            let th_row = cfg.tolerance.threshold::<T>(k_done, nc_eff, scale);
+            let th_col = cfg.tolerance.threshold::<T>(k_done, m, scale);
+            let row_diffs = corrector::find_discrepancies(enc_row, ref_row, th_row);
+            let col_diffs = corrector::find_discrepancies(enc_col, ref_col, th_col);
+            if !row_diffs.is_empty() || !col_diffs.is_empty() {
+                correction_scale = row_diffs
+                    .iter()
+                    .chain(col_diffs.iter())
+                    .fold(correction_scale, |acc, d| acc.max(d.delta.abs()));
+                let mut c_block = c.submatrix_mut(0, jc, m, nc_eff);
+                let th = th_row.max(th_col);
+                match corrector::correct_block(&mut c_block, &row_diffs, &col_diffs, th) {
+                    CorrectionOutcome::Clean => {}
+                    CorrectionOutcome::Corrected { count } => {
+                        report.detected += count;
+                        report.corrected += count;
+                        if let Some(inj) = cfg.injector.as_ref() {
+                            for _ in 0..count {
+                                inj.stats().record_detected();
+                                inj.stats().record_corrected();
                             }
-                            // (unfused refs re-read C below and see it anyway)
                         }
                     }
-                    ic += p.mc;
-                }
-
-                if !fusion.fuse_kernel_refs {
-                    // Traditional ABFT: a separate O(m*nc) read-back pass.
-                    let c_block = c.submatrix_mut(0, jc, m, nc_eff);
-                    checksum::encode_c(&c_block.as_ref(), ref_row, ref_col);
-                }
-
-                // "p-loop: verify" — compare encoded vs reference checksums and
-                // repair (paper Fig. 1, red operations).
-                report.verifications += 1;
-                let k_done = pc + kc_eff;
-                // Scale from the *encoded* checksums only: they are computed
-                // from clean inputs, so a huge corrupted reference value cannot
-                // inflate the threshold and mask smaller concurrent errors.
-                let scale = max_abs2(enc_row, enc_col).max(correction_scale);
-                let th_row = cfg.tolerance.threshold::<T>(k_done, nc_eff, scale);
-                let th_col = cfg.tolerance.threshold::<T>(k_done, m, scale);
-                let row_diffs = corrector::find_discrepancies(enc_row, ref_row, th_row);
-                let col_diffs = corrector::find_discrepancies(enc_col, ref_col, th_col);
-                if !row_diffs.is_empty() || !col_diffs.is_empty() {
-                    correction_scale = row_diffs
-                        .iter()
-                        .chain(col_diffs.iter())
-                        .fold(correction_scale, |acc, d| acc.max(d.delta.abs()));
-                    let mut c_block = c.submatrix_mut(0, jc, m, nc_eff);
-                    let th = th_row.max(th_col);
-                    match corrector::correct_block(&mut c_block, &row_diffs, &col_diffs, th) {
-                        CorrectionOutcome::Clean => {}
-                        CorrectionOutcome::Corrected { count } => {
-                            report.detected += count;
-                            report.corrected += count;
-                            if let Some(inj) = cfg.injector.as_ref() {
-                                for _ in 0..count {
-                                    inj.stats().record_detected();
-                                    inj.stats().record_corrected();
-                                }
-                            }
+                    CorrectionOutcome::Unrecoverable { detail } => {
+                        if let Some(inj) = cfg.injector.as_ref() {
+                            inj.stats().record_unrecoverable();
                         }
-                        CorrectionOutcome::Unrecoverable { detail } => {
-                            if let Some(inj) = cfg.injector.as_ref() {
-                                inj.stats().record_unrecoverable();
-                            }
-                            if attempt < retry_panels {
-                                attempt += 1;
-                                continue 'attempts;
-                            }
+                        if rollbacks == max_rollbacks {
                             report.publish_global();
                             return Err(FtError::Unrecoverable { jc, pc, detail });
                         }
+                        // Roll the column block back and recompute it from
+                        // the first panel (A and B are never written).
+                        rollbacks += 1;
+                        redo_end = redo_end.max(k_done);
+                        pc = 0;
+                        continue;
                     }
                 }
-                break 'attempts;
             }
             pc += p.kc;
         }
@@ -365,6 +353,12 @@ pub fn ft_gemm_with_ctx<T: Scalar>(
     }
     report.publish_global();
     Ok(report)
+}
+
+/// Rolling back needs a copy of `C` only when `beta != 0`: otherwise the
+/// scale + encode pass alone rebuilds the block's entry state.
+fn needs_snapshot<T: Scalar>(cfg: &FtConfig, beta: T) -> bool {
+    matches!(cfg.recovery, Recovery::RetryPanel { .. }) && beta != T::ZERO
 }
 
 fn resize<T: Scalar>(v: &mut Vec<T>, len: usize) {
@@ -566,6 +560,76 @@ mod tests {
         naive_gemm(1.0, &a.as_ref(), &b.as_ref(), 1.0, &mut c_ref.as_mut());
         assert!(c.rel_max_diff(&c_ref) < 1e-10);
         assert!(report.verifications >= 6, "{report:?}");
+    }
+
+    #[test]
+    fn column_block_rollback_recovers_ambiguous_panel() {
+        use crate::FtPolicy;
+        // Small `mc` makes one panel span several injection sites (`ic`
+        // blocks). Constant operands keep every element of C equal at any
+        // point, so a Scale error has the same delta wherever it lands and
+        // two errors in one panel at distinct rows and columns are
+        // ambiguous. Two panels and one column block per call; the Count
+        // schedule is exhausted after the first pass, so a recompute runs
+        // clean.
+        let ctx = || {
+            let mut core = GemmContext::<f64>::new();
+            let kern = core.kernel;
+            core.set_params(ftgemm_core::BlockingParams {
+                mr: kern.mr,
+                nr: kern.nr,
+                mc: kern.mr,
+                nc: kern.nr * 4,
+                kc: 16,
+            })
+            .unwrap();
+            (FtGemmContext::from_core(core), kern.mr, kern.nr)
+        };
+        let (_, mr, nr) = ctx();
+        let (m, n, k) = (4 * mr, 2 * nr + 3, 32);
+        let a = Matrix::<f64>::filled(m, k, 0.3);
+        let b = Matrix::<f64>::filled(k, n, 0.7);
+        let c0 = Matrix::<f64>::filled(m, n, 2.0);
+        let run = |policy: FtPolicy, seed: u64, beta: f64| {
+            let inj = FaultInjector::new(seed, ErrorModel::Scale { factor: 3.0 }, Rate::Count(2));
+            let cfg = policy.to_config(Some(inj)).unwrap();
+            let mut c = c0.clone();
+            let out = ft_gemm_with_ctx(
+                &mut ctx().0,
+                &cfg,
+                1.0,
+                &a.as_ref(),
+                &b.as_ref(),
+                beta,
+                &mut c.as_mut(),
+            );
+            (out, c)
+        };
+
+        let seed = (0..200u64)
+            .find(|&s| run(FtPolicy::Detect, s, 0.5).0.is_err())
+            .expect("no seed produced an ambiguous panel");
+        for beta in [0.0, 0.5] {
+            let (out, _) = run(FtPolicy::Detect, seed, beta);
+            assert!(
+                matches!(out, Err(FtError::Unrecoverable { .. })),
+                "Detect must fail loudly at beta={beta}: {out:?}"
+            );
+
+            let (out, c) = run(FtPolicy::DetectCorrect, seed, beta);
+            let report = out.unwrap_or_else(|e| panic!("DetectCorrect failed at beta={beta}: {e}"));
+            assert!(
+                report.retried_panels >= 1,
+                "no rollback at beta={beta}: {report:?}"
+            );
+            let mut c_ref = c0.clone();
+            naive_gemm(1.0, &a.as_ref(), &b.as_ref(), beta, &mut c_ref.as_mut());
+            assert!(
+                c.rel_max_diff(&c_ref) < 1e-10,
+                "rolled-back result diverges at beta={beta}: {}",
+                c.rel_max_diff(&c_ref)
+            );
+        }
     }
 
     #[test]

@@ -56,8 +56,8 @@
 //! equal-magnitude case is pinned by
 //! `corrector::tests::equal_delta_errors_distinct_positions`), and the
 //! driver then applies the caller's [`Recovery`] policy — under
-//! [`Recovery::RetryPanel`] (the serving layer's `DetectCorrect`) the
-//! affected panel is rolled back to its checkpoint and recomputed instead.
+//! [`Recovery::RetryPanel`] (the serving layer's `DetectCorrect`) the serial
+//! driver rolls the affected column block back and recomputes it instead.
 //! Equal magnitudes sharing a single row or column are *not* ambiguous
 //! (the shared-axis sum rule resolves them) and are still corrected. The
 //! paper verifies every `KC`-depth panel, so the exposure window for a
@@ -99,18 +99,22 @@ pub struct FtConfig {
 ///
 /// Row+column checksums cannot locate errors that form a cycle across
 /// shared rows *and* columns within one verification interval. The serial
-/// driver can optionally checkpoint each column block of `C` (plus the
-/// encoded checksums) at panel granularity and recompute the panel from
-/// scratch when that happens.
+/// driver can then roll the column block of `C` back to its state on entry
+/// and recompute it from the first depth panel. The parallel driver does
+/// not retry: it returns [`FtError::Unrecoverable`] under either policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Recovery {
     /// Return [`FtError::Unrecoverable`]; the caller decides (default — no
     /// checkpoint memory or traffic is spent).
     ReportOnly,
-    /// Keep an `O(m * NC)` checkpoint per column block and recompute a
-    /// failing panel up to `max_retries` times before giving up.
+    /// Roll a failing column block back and recompute it, up to
+    /// `max_retries` times per block before giving up. Rolling back re-runs
+    /// the fused `C *= beta` + encode pass; with `beta != 0` it first
+    /// restores an `O(m * NC)` snapshot of the block's original `C`, taken
+    /// once per column block. With `beta == 0` there is no snapshot, so a
+    /// clean run costs the same as [`Recovery::ReportOnly`].
     RetryPanel {
-        /// Recompute attempts per panel before reporting failure.
+        /// Rollbacks per column block before reporting failure.
         max_retries: u32,
     },
 }
@@ -187,7 +191,7 @@ pub struct FtReport {
     pub corrected: usize,
     /// Errors injected by the attached injector (0 without one).
     pub injected: usize,
-    /// Panels rolled back and recomputed under [`Recovery::RetryPanel`].
+    /// Panels recomputed after a rollback under [`Recovery::RetryPanel`].
     pub retried_panels: usize,
 }
 

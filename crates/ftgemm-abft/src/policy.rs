@@ -21,21 +21,25 @@ use ftgemm_faults::FaultInjector;
 ///   depth panel; resolvable discrepancy patterns are corrected in place,
 ///   unresolvable ones fail the call ([`Recovery::ReportOnly`]).
 /// * [`DetectCorrect`](FtPolicy::DetectCorrect) — [`Detect`](FtPolicy::Detect)
-///   plus panel checkpointing: patterns correction cannot resolve trigger a
-///   bounded panel recompute ([`Recovery::RetryPanel`]) before the call is
-///   failed.
+///   plus rollback: in the serial driver, a pattern correction cannot
+///   resolve rolls its column block back to its state on entry and
+///   recomputes it, a bounded number of times ([`Recovery::RetryPanel`]),
+///   before the call is failed. The rollback needs a once-per-block
+///   snapshot of `C` only when `beta != 0`, so on clean runs with
+///   `beta == 0` it costs the same as `Detect`. The parallel driver does
+///   not retry and fails the call as `Detect` does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FtPolicy {
     /// No fault tolerance: the plain high-performance driver.
     Off,
     /// Verify + in-place correction; unresolvable patterns fail the call.
     Detect,
-    /// Verify + correction + panel-level recompute of unresolvable patterns.
+    /// Verify + correction + column-block recompute of unresolvable patterns.
     #[default]
     DetectCorrect,
 }
 
-/// Recompute attempts per panel under [`FtPolicy::DetectCorrect`].
+/// Rollbacks per column block under [`FtPolicy::DetectCorrect`].
 const DETECT_CORRECT_RETRIES: u32 = 2;
 
 impl FtPolicy {

@@ -77,22 +77,59 @@ pub fn pack_a_fused<T: Scalar>(
         "pack_a_fused: out buffer too small"
     );
 
-    for p in 0..panels {
+    // Stream order: four columns of the block at a time, each read once
+    // top to bottom.
+    let k4 = k - k % 4;
+    for q in (0..k4).step_by(4) {
+        let cols = [a.col(q), a.col(q + 1), a.col(q + 2), a.col(q + 3)];
+        let bq = [bc[q], bc[q + 1], bc[q + 2], bc[q + 3]];
+        pack_a_fused_cols(cols, bq, alpha, mr, &mut out[q * mr..], k, enc_row);
+    }
+    for q in k4..k {
+        pack_a_fused_cols(
+            [a.col(q)],
+            [bc[q]],
+            alpha,
+            mr,
+            &mut out[q * mr..],
+            k,
+            enc_row,
+        );
+    }
+}
+
+/// `G` columns of [`pack_a_fused`], read as `G` sequential streams and
+/// scattered `mr` rows at a time into every slab (`out` starts at the
+/// first column's place in slab 0; slabs are `mr * k` apart). Each
+/// `enc_row[i]` takes its adds in ascending column order, exactly as a
+/// slab-at-a-time walk does, so the checksum is bit-identical to it.
+fn pack_a_fused_cols<T: Scalar, const G: usize>(
+    cols: [&[T]; G],
+    bq: [T; G],
+    alpha: T,
+    mr: usize,
+    out: &mut [T],
+    k: usize,
+    enc_row: &mut [T],
+) {
+    let m = enc_row.len();
+    for p in 0..m.div_ceil(mr) {
         let row0 = p * mr;
         let rows = mr.min(m - row0);
-        let slab = &mut out[p * mr * k..(p + 1) * mr * k];
         let enc = &mut enc_row[row0..row0 + rows];
-        for q in 0..k {
-            let col = &a.col(q)[row0..row0 + rows];
-            let dst = &mut slab[q * mr..q * mr + mr];
-            let bq = bc[q];
-            for i in 0..rows {
-                let v = alpha * col[i];
-                dst[i] = v;
-                enc[i] = v.mul_add(bq, enc[i]);
+        let dst = &mut out[p * mr * k..][..G * mr];
+        for i in 0..rows {
+            let mut acc = enc[i];
+            for t in 0..G {
+                let v = alpha * cols[t][row0 + i];
+                dst[t * mr + i] = v;
+                acc = v.mul_add(bq[t], acc);
             }
-            for d in dst[rows..].iter_mut() {
-                *d = T::ZERO;
+            enc[i] = acc;
+        }
+        if rows < mr {
+            for t in 0..G {
+                dst[t * mr + rows..(t + 1) * mr].fill(T::ZERO);
             }
         }
     }
@@ -151,20 +188,64 @@ pub fn pack_b_fused<T: Scalar>(
         let col0 = q * nr;
         let cols = nr.min(n - col0);
         let slab = &mut out[q * nr * k..(q + 1) * nr * k];
-        if cols < nr {
-            slab.fill(T::ZERO);
-        }
-        for j in 0..cols {
-            let col = b.col(col0 + j);
-            let mut enc = T::ZERO;
-            for p in 0..k {
-                let v = col[p];
-                slab[p * nr + j] = v; // reuse 1: pack
-                bc[p] += v; // reuse 2: B_c
-                enc = ar[p].mul_add(v, enc); // reuse 3: C_r encode
+        let enc = &mut enc_col[col0..col0 + cols];
+        match (nr, cols == nr) {
+            (4, true) => pack_b_fused_slab::<T, 4>(b, col0, slab, ar, bc, enc),
+            (6, true) => pack_b_fused_slab::<T, 6>(b, col0, slab, ar, bc, enc),
+            (8, true) => pack_b_fused_slab::<T, 8>(b, col0, slab, ar, bc, enc),
+            _ => {
+                // Ragged (or uncommon-width) slab: one column at a time.
+                if cols < nr {
+                    slab.fill(T::ZERO);
+                }
+                for (j, e) in enc.iter_mut().enumerate() {
+                    let col = b.col(col0 + j);
+                    let mut acc = T::ZERO;
+                    for p in 0..k {
+                        let v = col[p];
+                        slab[p * nr + j] = v; // reuse 1: pack
+                        bc[p] += v; // reuse 2: B_c
+                        acc = ar[p].mul_add(v, acc); // reuse 3: C_r encode
+                    }
+                    *e += acc;
+                }
             }
-            enc_col[col0 + j] += enc;
         }
+    }
+}
+
+/// One full `NR`-wide slab of [`pack_b_fused`] in stream order: depth `p`
+/// outer, the slab's columns inner, so the reads are `NR` sequential
+/// streams and the writes are contiguous. `NR` independent `enc`
+/// accumulators replace the per-column add chain, and `bc[p]` takes its
+/// adds in ascending `j` exactly as the column-at-a-time walk does, so
+/// every checksum is bit-identical to it.
+fn pack_b_fused_slab<T: Scalar, const NR: usize>(
+    b: &MatRef<'_, T>,
+    col0: usize,
+    slab: &mut [T],
+    ar: &[T],
+    bc: &mut [T],
+    enc_col: &mut [T],
+) {
+    let cols: [&[T]; NR] = std::array::from_fn(|j| b.col(col0 + j));
+    let mut enc = [T::ZERO; NR];
+    for (p, (dst, (&arp, bcp))) in slab
+        .chunks_exact_mut(NR)
+        .zip(ar.iter().zip(bc.iter_mut()))
+        .enumerate()
+    {
+        let mut s = *bcp;
+        for j in 0..NR {
+            let v = cols[j][p];
+            dst[j] = v; // reuse 1: pack
+            s += v; // reuse 2: B_c
+            enc[j] = arp.mul_add(v, enc[j]); // reuse 3: C_r encode
+        }
+        *bcp = s;
+    }
+    for (e, acc) in enc_col.iter_mut().zip(enc) {
+        *e += acc;
     }
 }
 
@@ -173,15 +254,25 @@ pub fn pack_b_fused<T: Scalar>(
 pub fn col_sums_scaled<T: Scalar>(a: &MatRef<'_, T>, alpha: T, out: &mut [T]) {
     let (m, k) = (a.nrows(), a.ncols());
     assert_eq!(out.len(), k, "col_sums_scaled: out length mismatch");
-    for q in 0..k {
-        let col = a.col(q);
-        let mut s = T::ZERO;
+    // Four columns at a time: four independent add chains instead of one
+    // latency-bound chain. Each column is still summed top to bottom, so
+    // the sums are bit-identical to a column-at-a-time walk.
+    let k4 = k - k % 4;
+    for q in (0..k4).step_by(4) {
+        let cols = [a.col(q), a.col(q + 1), a.col(q + 2), a.col(q + 3)];
+        let mut s = [T::ZERO; 4];
         for i in 0..m {
-            s += col[i];
+            for t in 0..4 {
+                s[t] += cols[t][i];
+            }
         }
-        out[q] = alpha * s;
+        for (o, s) in out[q..q + 4].iter_mut().zip(s) {
+            *o = alpha * s;
+        }
     }
-    let _ = m;
+    for q in k4..k {
+        out[q] = alpha * a.col(q).iter().fold(T::ZERO, |s, &x| s + x);
+    }
 }
 
 #[cfg(test)]
@@ -321,14 +412,135 @@ mod tests {
         assert_eq!(out, plain);
     }
 
+    /// The column-at-a-time `pack_b_fused` loop the stream-order version
+    /// replaced; kept as the bit-identity reference.
+    fn pack_b_fused_by_column(
+        b: &MatRef<'_, f64>,
+        nr: usize,
+        out: &mut [f64],
+        ar: &[f64],
+        bc: &mut [f64],
+        enc_col: &mut [f64],
+    ) {
+        let (k, n) = (b.nrows(), b.ncols());
+        for q in 0..n.div_ceil(nr) {
+            let col0 = q * nr;
+            let cols = nr.min(n - col0);
+            let slab = &mut out[q * nr * k..(q + 1) * nr * k];
+            if cols < nr {
+                slab.fill(0.0);
+            }
+            for j in 0..cols {
+                let col = b.col(col0 + j);
+                let mut enc = 0.0;
+                for p in 0..k {
+                    let v = col[p];
+                    slab[p * nr + j] = v;
+                    bc[p] += v;
+                    enc = Scalar::mul_add(ar[p], v, enc);
+                }
+                enc_col[col0 + j] += enc;
+            }
+        }
+    }
+
+    /// The slab-at-a-time `pack_a_fused` loop the stream-order version
+    /// replaced; kept as the bit-identity reference.
+    fn pack_a_fused_by_slab(
+        a: &MatRef<'_, f64>,
+        alpha: f64,
+        mr: usize,
+        out: &mut [f64],
+        bc: &[f64],
+        enc_row: &mut [f64],
+    ) {
+        let (m, k) = (a.nrows(), a.ncols());
+        for p in 0..m.div_ceil(mr) {
+            let row0 = p * mr;
+            let rows = mr.min(m - row0);
+            let slab = &mut out[p * mr * k..(p + 1) * mr * k];
+            let enc = &mut enc_row[row0..row0 + rows];
+            for q in 0..k {
+                let col = &a.col(q)[row0..row0 + rows];
+                let dst = &mut slab[q * mr..q * mr + mr];
+                for i in 0..rows {
+                    let v = alpha * col[i];
+                    dst[i] = v;
+                    enc[i] = Scalar::mul_add(v, bc[q], enc[i]);
+                }
+                dst[rows..].fill(0.0);
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_b_stream_order_is_bit_identical() {
+        // Full slabs of every specialised width, ragged tails, a strided
+        // sub-view, and non-zero incoming bc/enc_col (the parallel driver
+        // accumulates thread partials into them).
+        let big = Matrix::<f64>::random(40, 70, 21);
+        for nr in [3, 4, 6, 8, 16] {
+            for (k, n) in [(1, 1), (7, 8), (13, 17), (37, 64), (29, 61)] {
+                let b = big.as_ref().submatrix(2, 3, k, n);
+                let ar: Vec<f64> = (0..k).map(|p| 0.3 * p as f64 - 1.7).collect();
+                let len = k * n.div_ceil(nr) * nr;
+                let bc0: Vec<f64> = (0..k).map(|p| 0.1 * p as f64 + 0.05).collect();
+                let enc0: Vec<f64> = (0..n).map(|j| 1.0 / (j as f64 + 3.0)).collect();
+
+                let (mut out, mut bc, mut enc) = (vec![f64::NAN; len], bc0.clone(), enc0.clone());
+                pack_b_fused(&b, nr, &mut out, &ar, &mut bc, &mut enc);
+                let (mut out_r, mut bc_r, mut enc_r) = (vec![f64::NAN; len], bc0, enc0);
+                pack_b_fused_by_column(&b, nr, &mut out_r, &ar, &mut bc_r, &mut enc_r);
+
+                let what = format!("nr={nr} k={k} n={n}");
+                assert_eq!(bits(&out), bits(&out_r), "packed B~ {what}");
+                assert_eq!(bits(&bc), bits(&bc_r), "bc {what}");
+                assert_eq!(bits(&enc), bits(&enc_r), "enc_col {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_a_stream_order_is_bit_identical() {
+        let big = Matrix::<f64>::random(90, 40, 22);
+        for mr in [4, 8, 16] {
+            for (m, k) in [(1, 1), (16, 5), (17, 9), (61, 33), (83, 38)] {
+                let a = big.as_ref().submatrix(5, 1, m, k);
+                let bc: Vec<f64> = (0..k).map(|q| 0.7 - 0.2 * q as f64).collect();
+                let len = m.div_ceil(mr) * mr * k;
+                let enc0: Vec<f64> = (0..m).map(|i| 0.5 + i as f64).collect();
+
+                let (mut out, mut enc) = (vec![f64::NAN; len], enc0.clone());
+                pack_a_fused(&a, -1.25, mr, &mut out, &bc, &mut enc);
+                let (mut out_r, mut enc_r) = (vec![f64::NAN; len], enc0);
+                pack_a_fused_by_slab(&a, -1.25, mr, &mut out_r, &bc, &mut enc_r);
+
+                let what = format!("mr={mr} m={m} k={k}");
+                assert_eq!(bits(&out), bits(&out_r), "packed A~ {what}");
+                assert_eq!(bits(&enc), bits(&enc_r), "enc_row {what}");
+            }
+        }
+    }
+
     #[test]
     fn col_sums_scaled_matches() {
-        let a = Matrix::<f64>::random(5, 4, 7);
-        let mut ar = vec![0.0; 4];
-        col_sums_scaled(&a.as_ref(), 2.0, &mut ar);
-        for q in 0..4 {
-            let want: f64 = 2.0 * (0..5).map(|i| a.get(i, q)).sum::<f64>();
-            assert!((ar[q] - want).abs() < 1e-12);
+        // Bit-identical to summing each column top to bottom, on column
+        // counts with and without a remainder past the groups of four.
+        for k in [1, 4, 7, 10] {
+            let a = Matrix::<f64>::random(37, k, 7);
+            let mut ar = vec![0.0; k];
+            col_sums_scaled(&a.as_ref(), 2.0, &mut ar);
+            for q in 0..k {
+                let mut want = 0.0;
+                for i in 0..37 {
+                    want += a.get(i, q);
+                }
+                assert_eq!(ar[q].to_bits(), (2.0 * want).to_bits(), "k={k} q={q}");
+            }
         }
     }
 

@@ -25,6 +25,9 @@ unsafe impl Send for JobRef {}
 unsafe impl Sync for JobRef {}
 
 struct Shared {
+    /// Held by a [`ThreadPool::run`] caller for its whole region, from job
+    /// publish through `done_barrier`; see `run` for why.
+    region: Mutex<()>,
     /// Latest published job and its generation.
     job: Mutex<(u64, Option<JobRef>)>,
     wake: Condvar,
@@ -145,6 +148,7 @@ impl ThreadPool {
             "partition must cover the pool's threads"
         );
         let shared = Arc::new(Shared {
+            region: Mutex::new(()),
             job: Mutex::new((0, None)),
             wake: Condvar::new(),
             region_barrier: SenseBarrier::new(nthreads),
@@ -212,10 +216,24 @@ impl ThreadPool {
     /// thread has finished. Panics in workers propagate as a pool poison
     /// (abort) rather than deadlocks: the closure is required to be
     /// panic-free in practice (compute kernels do not panic).
+    ///
+    /// Safe to call from many threads at once: regions on one pool run one
+    /// at a time, in lock-acquisition order. Calling `run` from inside a
+    /// region of the same pool deadlocks.
     pub fn run<F>(&self, f: F)
     where
         F: Fn(&WorkerCtx<'_>) + Sync,
     {
+        // Exclusivity guard for the job-pointer publication below. Every
+        // region shares one job slot, one pair of barriers and the `tid 0`
+        // seat, so two overlapping regions would mix their arrivals and let
+        // workers run a closure whose owner has already returned. The lock
+        // is held from publish through `done_barrier`, so a second caller
+        // waits its turn. A lock rather than `run(&mut self)`: pools are
+        // shared through `Arc` (`ParGemmContext` clones, per-node serving
+        // contexts), and `&mut` would push the same exclusion onto every
+        // owner as a `Mutex<ThreadPool>` or a pool per caller.
+        let _region = self.shared.region.lock();
         self.shared.regions.fetch_add(1, Ordering::Relaxed);
         ftgemm_obs::global_counter!(
             "ftgemm_pool_regions_total",
@@ -469,6 +487,44 @@ mod tests {
             // node_partition degenerates to partition on one node.
             assert_eq!(ctx.node_partition(9, 1), ctx.partition(9, 1));
         });
+    }
+
+    #[test]
+    fn concurrent_callers_take_turns() {
+        // Callers meet at a barrier before every call, so their regions are
+        // requested at the same moment. Each region must see exactly its
+        // own `nthreads` arrivals on both sides of an in-region barrier;
+        // overlapping regions would mix arrivals or hand one caller's
+        // closure to another caller's workers.
+        const CALLERS: usize = 4;
+        let pool = ThreadPool::new(3);
+        let start = std::sync::Barrier::new(CALLERS);
+        // Counted, not asserted, inside the threads: a panicking caller
+        // would leave the others waiting at `start`.
+        let mixed = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..CALLERS {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        let (before, after) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                        start.wait();
+                        pool.run(|ctx| {
+                            before.fetch_add(1, Ordering::Relaxed);
+                            ctx.barrier();
+                            if before.load(Ordering::Relaxed) != 3 {
+                                mixed.fetch_add(1, Ordering::Relaxed);
+                            }
+                            after.fetch_add(1, Ordering::Relaxed);
+                        });
+                        if after.load(Ordering::Relaxed) != 3 {
+                            mixed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(mixed.load(Ordering::Relaxed), 0);
+        assert_eq!(pool.stats().regions, (CALLERS * 200) as u64);
     }
 
     #[test]

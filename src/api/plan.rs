@@ -67,9 +67,10 @@ impl<T: Scalar> std::fmt::Debug for Backend<T> {
 /// A validated, preallocated GEMM ready to execute many times.
 ///
 /// Built by [`GemmOp::plan`]. The plan owns everything the hot path needs —
-/// blocking parameters, packing scratch, checksum work vectors, checkpoint
-/// buffers, and (for parallel plans) the shared reduction workspace and the
-/// `Arc` of the thread pool — so repeated [`run`](GemmPlan::run) calls
+/// blocking parameters, packing scratch, checksum work vectors, the
+/// rollback snapshot (when `beta != 0`), and (for parallel plans) the
+/// shared reduction workspace and the `Arc` of the thread pool — so
+/// repeated [`run`](GemmPlan::run) calls
 /// perform **zero heap allocation** (pinned by `tests/plan_alloc.rs`).
 ///
 /// The plan borrows the op's operands; [`run_with`](GemmPlan::run_with)
@@ -95,7 +96,7 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
         let cfg = op.resolve_config();
 
         let backend = match exec {
-            Exec::Serial => Self::serial_backend(&cfg, m, n, k)?,
+            Exec::Serial => Self::serial_backend(&cfg, op.beta, m, n, k)?,
             Exec::Parallel(ctx) => Self::parallel_backend(ctx.clone(), &cfg, m, n, k)?,
             Exec::Auto | Exec::AutoAt(_) => {
                 let cutoff = match exec {
@@ -103,7 +104,7 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
                     _ => DEFAULT_SMALL_FLOPS_CUTOFF,
                 };
                 if op.flops() <= cutoff {
-                    Self::serial_backend(&cfg, m, n, k)?
+                    Self::serial_backend(&cfg, op.beta, m, n, k)?
                 } else {
                     Self::parallel_backend(auto_parallel_ctx::<T>(), &cfg, m, n, k)?
                 }
@@ -125,13 +126,14 @@ impl<'a, T: Scalar> GemmPlan<'a, T> {
 
     fn serial_backend(
         cfg: &Option<FtConfig>,
+        beta: T,
         m: usize,
         n: usize,
         k: usize,
     ) -> FtResult<Backend<T>> {
         let mut ctx = FtGemmContext::<T>::new();
         match cfg {
-            Some(cfg) => ctx.reserve(cfg, m, n, k)?,
+            Some(cfg) => ctx.reserve(cfg, beta, m, n, k)?,
             None => {
                 // Unprotected plans only need the packing scratch warm.
                 let p = ctx.core.params;

@@ -1,23 +1,34 @@
 //! Pins the `GemmPlan` zero-allocation contract with a counting global
-//! allocator: once a plan exists, `plan.run` must not touch the heap —
-//! serial plans are measured allocation-by-allocation; parallel plans are
-//! additionally pinned by workspace-pointer stability (their worker threads
-//! park/unpark through the pool, which the counter would attribute to the
-//! region even though the GEMM hot path itself is allocation-free).
+//! allocator: once a plan exists, `plan.run` must not touch the heap on
+//! the calling thread. The counter is thread-local, so allocations made by
+//! other tests running concurrently in this binary (the default harness)
+//! are not charged to the plan under test. Serial plans are measured
+//! allocation-by-allocation; parallel plans are additionally pinned by
+//! workspace-pointer stability (their worker threads park/unpark through
+//! the pool, which the calling thread does not see).
 
 use ftgemm::{Exec, FtPolicy, GemmOp, Matrix, ParGemmContext};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` init with a `Drop`-free type: no lazy registration and no
+    // destructor, so touching it from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread tearing down its TLS may still free or allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: delegates verbatim to the system allocator; the counter is a
-// relaxed atomic with no allocation of its own.
+// plain thread-local cell with no allocation of its own.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded contract.
         unsafe { System.alloc(layout) }
     }
@@ -28,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: forwarded contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -37,8 +48,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
@@ -66,6 +78,42 @@ fn serial_protected_plan_runs_allocation_free() {
         after - before,
         0,
         "serial protected plan.run allocated {} times",
+        after - before
+    );
+}
+
+#[test]
+fn serial_detect_correct_plan_with_beta_runs_allocation_free() {
+    // `beta != 0` under DetectCorrect needs the rollback snapshot of C; the
+    // plan must size it up front. So the warm-up (lazily initialized
+    // globals) runs on a different, `beta == 0` plan, and even the first run
+    // of the measured plan must not allocate.
+    let a = Matrix::<f64>::random(96, 72, 7);
+    let b = Matrix::<f64>::random(72, 80, 8);
+    let mut c = Matrix::<f64>::random(96, 80, 9);
+    GemmOp::new(&a, &b)
+        .ft(FtPolicy::DetectCorrect)
+        .plan(Exec::Serial)
+        .unwrap()
+        .run(&mut c.as_mut())
+        .unwrap();
+
+    let mut plan = GemmOp::new(&a, &b)
+        .beta(0.5)
+        .ft(FtPolicy::DetectCorrect)
+        .plan(Exec::Serial)
+        .unwrap();
+
+    let before = allocations();
+    for _ in 0..5 {
+        let report = plan.run(&mut c.as_mut()).unwrap();
+        assert_eq!(report.detected, 0);
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "serial DetectCorrect plan.run with beta != 0 allocated {} times",
         after - before
     );
 }

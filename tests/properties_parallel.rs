@@ -97,3 +97,86 @@ proptest! {
         }
     }
 }
+
+/// Many threads share one `ParGemmContext` (and so one pool): regions take
+/// turns, so every result is bit-identical to the serial driver's on the
+/// same operands. Overlapping regions used to hang or return wrong bits.
+#[test]
+fn shared_context_is_sound_under_concurrent_callers() {
+    use ftgemm::abft::{ft_gemm_with_ctx, FtGemmContext};
+    use ftgemm::core::GemmContext;
+
+    const CALLERS: u64 = 4;
+    const CALLS: u64 = 12;
+    let ctx = ParGemmContext::<f64>::with_threads(3);
+    // Callers meet here before every call, so their regions overlap.
+    let start = std::sync::Barrier::new(CALLERS as usize);
+    let bits = |c: &Matrix<f64>| c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    // Mismatches are collected, not asserted, inside the threads: a
+    // panicking caller would leave the others waiting at `start`.
+    let mismatches: Vec<String> = std::thread::scope(|s| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|caller| {
+                let (ctx, start) = (&ctx, &start);
+                s.spawn(move || {
+                    let serial_ctx = || {
+                        let mut core = GemmContext::<f64>::new();
+                        core.set_params(ctx.params).unwrap();
+                        core
+                    };
+                    let mut serial = serial_ctx();
+                    let mut serial_ft = FtGemmContext::from_core(serial_ctx());
+                    let mut bad = Vec::new();
+                    for call in 0..CALLS {
+                        let seed = caller * 1000 + call;
+                        let dim =
+                            |salt: u64| 1 + ((seed * 2654435761 + salt * 40503) % 150) as usize;
+                        let (m, n, k) = (dim(1), dim(2), dim(3));
+                        let a = Matrix::<f64>::random(m, k, seed);
+                        let b = Matrix::<f64>::random(k, n, seed + 1);
+                        let c0 = Matrix::<f64>::random(m, n, seed + 2);
+                        let (ar, br) = (a.as_ref(), b.as_ref());
+
+                        let mut want = c0.clone();
+                        ftgemm::gemm(&mut serial, 1.5, &ar, &br, 0.5, &mut want.as_mut()).unwrap();
+                        let mut got = c0.clone();
+                        start.wait();
+                        let ok = par_gemm(ctx, 1.5, &ar, &br, 0.5, &mut got.as_mut()).is_ok();
+                        if !ok || bits(&got) != bits(&want) {
+                            bad.push(format!("par_gemm {m}x{n}x{k}"));
+                        }
+
+                        let cfg = FtConfig::default();
+                        let mut want = c0.clone();
+                        ft_gemm_with_ctx(
+                            &mut serial_ft,
+                            &cfg,
+                            1.5,
+                            &ar,
+                            &br,
+                            0.5,
+                            &mut want.as_mut(),
+                        )
+                        .unwrap();
+                        let mut got = c0;
+                        start.wait();
+                        let ok =
+                            par_ft_gemm(ctx, &cfg, 1.5, &ar, &br, 0.5, &mut got.as_mut()).is_ok();
+                        if !ok || bits(&got) != bits(&want) {
+                            bad.push(format!("par_ft_gemm {m}x{n}x{k}"));
+                        }
+                    }
+                    bad
+                })
+            })
+            .collect();
+        callers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    assert!(
+        mismatches.is_empty(),
+        "results differ from serial: {mismatches:?}"
+    );
+}
